@@ -31,7 +31,8 @@
 //! ```
 
 use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{EccKind, SchemeKind, Simulation, StopCondition};
+use wl_reviver::sim::{EccKind, Simulation, StopCondition};
+use wl_reviver::StackKnobs;
 use wlr_bench::{fork_warmup_for, run_replicated_forked, scaled_gap_interval, ForkSweep};
 use wlr_trace::{
     Benchmark, BirthdayAttack, CovTargetedWorkload, RepeatAttack, SpatialMode, TraceWorkload,
@@ -112,16 +113,24 @@ fn parse_f64(s: &str) -> f64 {
         .unwrap_or_else(|_| usage(&format!("`{s}` is not a number")))
 }
 
-fn parse_scheme(s: &str) -> SchemeKind {
-    // `freep:<frac>` carries a knob no registry name can express; every
-    // other spelling resolves through the scheme registry.
-    if let Some(frac) = s.strip_prefix("freep:") {
-        return SchemeKind::Freep {
-            reserve_frac: parse_f64(frac),
-        };
-    }
-    match SchemeRegistry::global().resolve(s) {
-        Ok(spec) => spec.kind,
+/// Resolves `--scheme` to a registry name plus its knobs: `freep:<frac>`
+/// is FREE-p with its reserve fraction set; every other spelling
+/// resolves through the scheme registry.
+fn parse_scheme(s: &str) -> (&'static str, StackKnobs) {
+    let mut knobs = StackKnobs::default();
+    let name = match s.strip_prefix("freep:") {
+        Some(frac) => {
+            let frac = parse_f64(frac);
+            if !(0.0..1.0).contains(&frac) {
+                usage(&format!("freep reserve fraction {frac} is outside [0,1)"));
+            }
+            knobs.freep_reserve_frac = frac;
+            "freep"
+        }
+        None => s,
+    };
+    match SchemeRegistry::global().resolve(name) {
+        Ok(spec) => (spec.name, knobs),
         Err(e) => usage(&e.to_string()),
     }
 }
@@ -200,53 +209,63 @@ fn parse_stop(s: &str) -> StopCondition {
     }
 }
 
+/// The simulation the command line selects, as plain data so replicate
+/// jobs can own a copy.
+#[derive(Clone)]
+struct Config {
+    blocks: u64,
+    endurance: f64,
+    cov: f64,
+    ecc: EccKind,
+    stack: &'static str,
+    knobs: StackKnobs,
+    workload: String,
+    sample: Option<u64>,
+}
+
+impl Config {
+    /// Builds the simulation with `seed`, driven by the workload sized to
+    /// the application space the stack leaves (FREE-p carves its reserve
+    /// out of the chip).
+    fn build(&self, seed: u64) -> Simulation {
+        let mut builder = Simulation::builder_with(self.knobs)
+            .num_blocks(self.blocks)
+            .endurance_mean(self.endurance)
+            .endurance_cov(self.cov)
+            .ecc(self.ecc)
+            .stack(self.stack)
+            .seed(seed);
+        if let Some(sample) = self.sample {
+            builder = builder.sample_interval(sample);
+        }
+        let mut sim = builder.build();
+        let app = sim.os().app_blocks();
+        sim.replace_workload(parse_workload(&self.workload, app, seed));
+        sim
+    }
+}
+
 /// Multi-seed mode: one shared warmup, one forked future per seed,
 /// summarized as mean/min/max. Replicates diverge by workload stream
 /// only — they share the warmup and the device's endurance draws (see
 /// EXPERIMENTS.md on fork-shared replicates).
-fn run_replicates(args: &Args, scheme: SchemeKind, stop: StopCondition, psi: u64, app_blocks: u64) {
+fn run_replicates(args: &Args, cfg: Config, stop: StopCondition) {
     let seeds: Vec<u64> = (args.seed..args.seed + args.seeds).collect();
     let label = format!("{}/{}/{}", args.scheme, args.workload, args.stop);
-    let a = ArgsForJob {
-        blocks: args.blocks,
-        endurance: args.endurance,
-        cov: args.cov,
-        ecc: args.ecc.clone(),
-        workload: args.workload.clone(),
-        cache: args.cache,
-        sample: args.sample,
-    };
     eprintln!(
-        "running {label} on {} blocks × {} seeds (ψ={psi}, endurance {:.0}, forked) …",
-        args.blocks, args.seeds, args.endurance
+        "running {label} on {} blocks × {} seeds (ψ={}, endurance {:.0}, forked) …",
+        args.blocks, args.seeds, cfg.knobs.gap_interval, args.endurance
     );
     let base_seed = args.seed;
-    let workload_spec = args.workload.clone();
+    let reseed_cfg = cfg.clone();
+    let app_blocks = cfg.build(base_seed).os().app_blocks();
     let configs: Vec<(String, ForkSweep)> = vec![(
         label.clone(),
         ForkSweep {
-            build: Box::new(move || {
-                let mut builder = Simulation::builder()
-                    .num_blocks(a.blocks)
-                    .endurance_mean(a.endurance)
-                    .endurance_cov(a.cov)
-                    .gap_interval(psi)
-                    .sr_refresh_interval(psi)
-                    .ecc(parse_ecc(&a.ecc))
-                    .scheme(scheme)
-                    .seed(base_seed)
-                    .workload_boxed(parse_workload(&a.workload, app_blocks, base_seed));
-                if let Some(bytes) = a.cache {
-                    builder = builder.cache_bytes(bytes);
-                }
-                if let Some(sample) = a.sample {
-                    builder = builder.sample_interval(sample);
-                }
-                builder.build()
-            }),
+            build: Box::new(move || cfg.build(base_seed)),
             warmup: fork_warmup_for(stop),
             stop,
-            reseed: Box::new(move |seed| parse_workload(&workload_spec, app_blocks, seed)),
+            reseed: Box::new(move |seed| parse_workload(&reseed_cfg.workload, app_blocks, seed)),
         },
     )];
     let rep = run_replicated_forked(configs, &seeds).remove(0);
@@ -272,68 +291,35 @@ fn run_replicates(args: &Args, scheme: SchemeKind, stop: StopCondition, psi: u64
     );
 }
 
-/// The plain-data subset of [`Args`] a replicate job needs.
-struct ArgsForJob {
-    blocks: u64,
-    endurance: f64,
-    cov: f64,
-    ecc: String,
-    workload: String,
-    cache: Option<usize>,
-    sample: Option<u64>,
-}
-
 fn main() {
     wlr_bench::report::handle_list_stacks();
     let args = parse_args();
     let psi = args
         .psi
         .unwrap_or_else(|| scaled_gap_interval(args.blocks, args.endurance));
-    let scheme = parse_scheme(&args.scheme);
+    let (stack, knobs) = parse_scheme(&args.scheme);
     let stop = parse_stop(&args.stop);
-
-    let mut builder = Simulation::builder()
-        .num_blocks(args.blocks)
-        .endurance_mean(args.endurance)
-        .endurance_cov(args.cov)
-        .gap_interval(psi)
-        .sr_refresh_interval(psi)
-        .ecc(parse_ecc(&args.ecc))
-        .scheme(scheme)
-        .seed(args.seed);
-    if let Some(bytes) = args.cache {
-        builder = builder.cache_bytes(bytes);
-    }
-    if let Some(sample) = args.sample {
-        builder = builder.sample_interval(sample);
-    }
-    // The Freep variant shrinks the visible space; size the workload to it.
-    let probe = builder.build();
-    let app_blocks = probe.os().app_blocks();
-    drop(probe);
+    let cfg = Config {
+        blocks: args.blocks,
+        endurance: args.endurance,
+        cov: args.cov,
+        ecc: parse_ecc(&args.ecc),
+        stack,
+        knobs: StackKnobs {
+            gap_interval: psi,
+            sr_refresh_interval: psi,
+            cache_bytes: args.cache,
+            ..knobs
+        },
+        workload: args.workload.clone(),
+        sample: args.sample,
+    };
 
     if args.seeds > 1 {
-        run_replicates(&args, scheme, stop, psi, app_blocks);
+        run_replicates(&args, cfg, stop);
         return;
     }
-
-    let mut builder = Simulation::builder()
-        .num_blocks(args.blocks)
-        .endurance_mean(args.endurance)
-        .endurance_cov(args.cov)
-        .gap_interval(psi)
-        .sr_refresh_interval(psi)
-        .ecc(parse_ecc(&args.ecc))
-        .scheme(scheme)
-        .seed(args.seed)
-        .workload_boxed(parse_workload(&args.workload, app_blocks, args.seed));
-    if let Some(bytes) = args.cache {
-        builder = builder.cache_bytes(bytes);
-    }
-    if let Some(sample) = args.sample {
-        builder = builder.sample_interval(sample);
-    }
-    let mut sim = builder.build();
+    let mut sim = cfg.build(args.seed);
 
     eprintln!(
         "running {} / {} / {} on {} blocks (ψ={psi}, endurance {:.0}, seed {}) …",

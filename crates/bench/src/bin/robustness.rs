@@ -49,7 +49,7 @@ fn measure(seed: u64, interval: u64) -> Vec<Row> {
         .revivable()
         .map(|spec| {
             let name = spec.title;
-            let scheme = spec.kind;
+            let scheme = spec.name;
             let mut crashes = 0u64;
             let mut violations = 0u64;
             let mut agg = RecoveryReport::default();
@@ -60,7 +60,7 @@ fn measure(seed: u64, interval: u64) -> Vec<Row> {
                     .endurance_mean(ENDURANCE)
                     .gap_interval(5)
                     .sr_refresh_interval(5)
-                    .scheme(scheme)
+                    .stack(scheme)
                     .seed(seed)
                     .sample_interval(10_000)
                     .verify_integrity(true)

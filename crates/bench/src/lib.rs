@@ -26,6 +26,7 @@ pub mod timing;
 use std::sync::Arc;
 use wl_reviver::metrics::TimeSeries;
 use wl_reviver::sim::{Outcome, Simulation, SimulationBuilder, StopCondition};
+use wl_reviver::StackKnobs;
 use wlr_trace::Workload;
 
 pub use wlr_base::pool::run_pooled;
@@ -56,15 +57,28 @@ pub fn exp_seed() -> u64 {
         .unwrap_or(EXP_SEED)
 }
 
+/// The scaled experiment knobs: ψ and the Security Refresh interval at
+/// [`scaled_gap_interval`], everything else at its default.
+pub fn exp_knobs() -> StackKnobs {
+    let psi = scaled_gap_interval(EXP_BLOCKS, EXP_ENDURANCE);
+    StackKnobs {
+        gap_interval: psi,
+        sr_refresh_interval: psi,
+        ..StackKnobs::default()
+    }
+}
+
 /// A simulation builder pre-configured with the scaled experiment
 /// defaults; binaries override scheme/workload per configuration.
 pub fn exp_builder() -> SimulationBuilder {
-    let psi = scaled_gap_interval(EXP_BLOCKS, EXP_ENDURANCE);
-    Simulation::builder()
+    exp_builder_with(exp_knobs())
+}
+
+/// As [`exp_builder`] with an explicit knob set (e.g. a FREE-p reserve).
+pub fn exp_builder_with(knobs: StackKnobs) -> SimulationBuilder {
+    Simulation::builder_with(knobs)
         .num_blocks(EXP_BLOCKS)
         .endurance_mean(EXP_ENDURANCE)
-        .gap_interval(psi)
-        .sr_refresh_interval(psi)
         .seed(exp_seed())
 }
 

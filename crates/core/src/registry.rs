@@ -17,12 +17,10 @@
 //!    (Start-Gap registers, Security Refresh keys) and table-mapped ones
 //!    (SoftWear's indirection table) are both fine — the framework only
 //!    needs `map`/`inverse` and the migration protocol.
-//! 2. Add a [`SchemeKind`] variant (it carries per-variant knobs and keeps
-//!    configs `Copy`).
-//! 3. Append a [`StackSpec`] to [`SPECS`] — usually two: the bare stack
+//! 2. Append a [`StackSpec`] to [`SPECS`] — usually two: the bare stack
 //!    (frozen on the first failure) and the revived one via
-//!    [`StackCtx::revive`].
-//! 4. Run the registry-completeness suite (`tests/tests/registry.rs`) and
+//!    [`StackCtx::revive`]. New knobs go on [`StackKnobs`].
+//! 3. Run the registry-completeness suite (`tests/tests/registry.rs`) and
 //!    capture goldens (`WLR_CAPTURE_GOLDEN=1`); the new names appear in
 //!    `--list-stacks`, `WLR_CRASH_STACKS`, `WLR_FLEET_SCHEMES`, etc.
 
@@ -30,7 +28,6 @@ use crate::controller::Controller;
 use crate::freep::FreepController;
 use crate::lls::LlsController;
 use crate::reviver::RevivedController;
-use crate::sim::SchemeKind;
 use crate::zombie::ZombieController;
 use wlr_base::Geometry;
 use wlr_pcm::{ErrorCorrection, FaultPlan, PcmDevice};
@@ -39,30 +36,23 @@ use wlr_wl::{
     TiledStartGap, WearLeveler,
 };
 
-/// Everything a stack builder may consult, pre-resolved by
-/// [`crate::sim::SimulationBuilder::build`]: the visible geometry, the
-/// scheme/pacing knobs, and the one-shot device ingredients (ECC, fault
-/// plan). Builders construct exactly one device via [`StackCtx::device`].
-#[derive(Debug)]
-pub struct StackCtx {
-    /// The exact requested scheme (carries per-variant knobs such as
-    /// FREE-p's reserve fraction).
-    pub kind: SchemeKind,
-    /// Software-visible blocks (total minus any FREE-p pre-reserve).
-    pub visible: u64,
-    /// Blocks pre-reserved for FREE-p remapping (0 elsewhere).
-    pub reserve_blocks: u64,
-    /// Blocks per OS page.
-    pub bpp: u64,
-    /// Start-Gap ψ: writes per gap movement.
+/// Every per-stack knob, declared and defaulted once. Each stack's
+/// builder reads the knobs it understands and ignores the rest, so one
+/// value configures any stack. [`crate::sim::SimulationBuilder`]'s knob
+/// setters write into an embedded copy; [`crate::sim::Simulation::builder_with`]
+/// starts from a whole struct.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StackKnobs {
+    /// Start-Gap ψ: writes per gap movement (the paper's 100).
     pub gap_interval: u64,
     /// Security Refresh writes per swap.
     pub sr_refresh_interval: u64,
-    /// Security Refresh region size override.
+    /// Security Refresh region size (None = the largest power of two
+    /// dividing the visible space).
     pub sr_region_blocks: Option<u64>,
-    /// SoftWear writes per hot↔cold swap (defaults to the Security
-    /// Refresh interval — both are in-place swap cadences).
-    pub sw_swap_interval: u64,
+    /// SoftWear writes per hot↔cold swap (None = the Security Refresh
+    /// interval — both are in-place swap cadences).
+    pub sw_swap_interval: Option<u64>,
     /// SoftWear cold-scan window in frames.
     pub sw_scan_window: u64,
     /// Adaptive wrapper: writes per CoV evaluation (None = scheme default,
@@ -72,17 +62,16 @@ pub struct StackCtx {
     pub adaptive_cov_band: (f64, f64),
     /// LLS salvage-group count.
     pub lls_groups: u64,
-    /// LLS maximum chunk count.
+    /// LLS maximum chunk count (chunk size is `visible/16`).
     pub lls_chunks: u64,
-    /// Remap-cache size, if any.
-    pub cache_bytes: Option<usize>,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Start-Gap randomizer (already defaulted to a seeded Feistel).
-    pub sg_randomizer: RandomizerKind,
+    /// Start-Gap static randomizer (None = Feistel seeded by the
+    /// experiment seed).
+    pub sg_randomizer: Option<RandomizerKind>,
     /// Tile count for tiled Start-Gap.
     pub sg_tiles: u64,
-    /// WL-Reviver: per-request invariant checking.
+    /// Remap-cache size in bytes, if any.
+    pub cache_bytes: Option<usize>,
+    /// WL-Reviver: per-request Theorem 1–3 checking.
     pub check_invariants: bool,
     /// WL-Reviver: inverse-pointer width in bytes.
     pub reviver_pointer_bytes: u64,
@@ -90,6 +79,51 @@ pub struct StackCtx {
     pub reviver_chain_switching: bool,
     /// WL-Reviver: proactive page acquisition.
     pub reviver_proactive: bool,
+    /// FREE-p: fraction of the total PCM pre-reserved for remapping, in
+    /// `[0, 1)`; read only by stacks with [`StackSpec::carves_reserve`].
+    pub freep_reserve_frac: f64,
+}
+
+impl Default for StackKnobs {
+    fn default() -> Self {
+        StackKnobs {
+            gap_interval: 100,
+            sr_refresh_interval: 100,
+            sr_region_blocks: None,
+            sw_swap_interval: None,
+            sw_scan_window: 16,
+            adaptive_epoch: None,
+            adaptive_cov_band: (0.75, 1.5),
+            lls_groups: 64,
+            lls_chunks: 16,
+            sg_randomizer: None,
+            sg_tiles: 16,
+            cache_bytes: None,
+            check_invariants: false,
+            reviver_pointer_bytes: 4,
+            reviver_chain_switching: true,
+            reviver_proactive: false,
+            freep_reserve_frac: 0.1,
+        }
+    }
+}
+
+/// Everything a stack builder may consult, pre-resolved by
+/// [`crate::sim::SimulationBuilder::build`]: the visible geometry, the
+/// knobs, and the one-shot device ingredients (ECC, fault plan). Builders
+/// construct exactly one device via [`StackCtx::device`].
+#[derive(Debug)]
+pub struct StackCtx {
+    /// Software-visible blocks (total minus any FREE-p pre-reserve).
+    pub visible: u64,
+    /// Blocks pre-reserved for FREE-p remapping (0 elsewhere).
+    pub reserve_blocks: u64,
+    /// Blocks per OS page.
+    pub bpp: u64,
+    /// Experiment seed.
+    pub seed: u64,
+    /// The stack knobs.
+    pub knobs: StackKnobs,
     geo: Geometry,
     endurance_mean: f64,
     endurance_cov: f64,
@@ -117,38 +151,21 @@ pub struct DeviceParts {
 
 impl StackCtx {
     /// Assembles a context. Called by
-    /// [`crate::sim::SimulationBuilder::build`]; exposed for harnesses
-    /// that drive stack construction directly.
-    #[allow(clippy::too_many_arguments)]
+    /// [`crate::sim::SimulationBuilder::build`].
     pub fn new(
-        kind: SchemeKind,
         visible: u64,
         reserve_blocks: u64,
         bpp: u64,
+        seed: u64,
+        knobs: StackKnobs,
         parts: DeviceParts,
     ) -> Self {
         StackCtx {
-            kind,
             visible,
             reserve_blocks,
             bpp,
-            gap_interval: 100,
-            sr_refresh_interval: 100,
-            sr_region_blocks: None,
-            sw_swap_interval: 100,
-            sw_scan_window: 16,
-            adaptive_epoch: None,
-            adaptive_cov_band: (0.75, 1.5),
-            lls_groups: 64,
-            lls_chunks: 16,
-            cache_bytes: None,
-            seed: 0,
-            sg_randomizer: RandomizerKind::Feistel { seed: 0 },
-            sg_tiles: 16,
-            check_invariants: false,
-            reviver_pointer_bytes: 4,
-            reviver_chain_switching: true,
-            reviver_proactive: false,
+            seed,
+            knobs,
             geo: parts.geo,
             endurance_mean: parts.endurance_mean,
             endurance_cov: parts.endurance_cov,
@@ -156,6 +173,14 @@ impl StackCtx {
             ecc: Some(parts.ecc),
             fault_plan: parts.fault_plan,
         }
+    }
+
+    /// The Start-Gap randomizer: the configured one, or Feistel seeded by
+    /// the experiment seed.
+    pub fn sg_randomizer(&self) -> RandomizerKind {
+        self.knobs
+            .sg_randomizer
+            .unwrap_or(RandomizerKind::Feistel { seed: self.seed })
     }
 
     /// Builds the PCM device with `extra_blocks` beyond the visible space
@@ -182,7 +207,7 @@ impl StackCtx {
     /// A Start-Gap leveler over the visible space with the configured
     /// randomizer.
     pub fn start_gap(&self) -> Box<dyn WearLeveler> {
-        self.start_gap_with(self.sg_randomizer)
+        self.start_gap_with(self.sg_randomizer())
     }
 
     /// A Start-Gap leveler with an explicit randomizer (LLS uses the
@@ -190,7 +215,7 @@ impl StackCtx {
     pub fn start_gap_with(&self, kind: RandomizerKind) -> Box<dyn WearLeveler> {
         Box::new(
             StartGap::builder(self.visible)
-                .gap_interval(self.gap_interval)
+                .gap_interval(self.knobs.gap_interval)
                 .randomizer(kind)
                 .build(),
         )
@@ -199,12 +224,13 @@ impl StackCtx {
     /// A Security Refresh leveler over the visible space.
     pub fn security_refresh(&self, seed: u64) -> Box<dyn WearLeveler> {
         let region = self
+            .knobs
             .sr_region_blocks
             .unwrap_or_else(|| self.visible & self.visible.wrapping_neg());
         Box::new(
             SecurityRefresh::builder(self.visible)
                 .region_blocks(region)
-                .refresh_interval(self.sr_refresh_interval)
+                .refresh_interval(self.knobs.sr_refresh_interval)
                 .seed(seed)
                 .build(),
         )
@@ -215,8 +241,12 @@ impl StackCtx {
     pub fn soft_wear(&self) -> Box<dyn WearLeveler> {
         Box::new(
             SoftWear::builder(self.visible)
-                .swap_interval(self.sw_swap_interval)
-                .scan_window(self.sw_scan_window)
+                .swap_interval(
+                    self.knobs
+                        .sw_swap_interval
+                        .unwrap_or(self.knobs.sr_refresh_interval),
+                )
+                .scan_window(self.knobs.sw_scan_window)
                 .build(),
         )
     }
@@ -224,12 +254,12 @@ impl StackCtx {
     /// A SAWL-style adaptive Start-Gap over the visible space.
     pub fn adaptive_start_gap(&self) -> Box<dyn WearLeveler> {
         let inner = StartGap::builder(self.visible)
-            .gap_interval(self.gap_interval)
-            .randomizer(self.sg_randomizer)
+            .gap_interval(self.knobs.gap_interval)
+            .randomizer(self.sg_randomizer())
             .build();
-        let mut b =
-            Adaptive::builder(inner).cov_band(self.adaptive_cov_band.0, self.adaptive_cov_band.1);
-        if let Some(epoch) = self.adaptive_epoch {
+        let (lo, hi) = self.knobs.adaptive_cov_band;
+        let mut b = Adaptive::builder(inner).cov_band(lo, hi);
+        if let Some(epoch) = self.knobs.adaptive_epoch {
             b = b.epoch_writes(epoch);
         }
         Box::new(b.build())
@@ -249,17 +279,13 @@ impl StackCtx {
     /// knobs (invariants, pointer width, chain switching, proactive
     /// acquisition, remap cache).
     pub fn revive(&mut self, extra_blocks: u64, wl: Box<dyn WearLeveler>) -> Box<dyn Controller> {
-        let check = self.check_invariants;
-        let pointer = self.reviver_pointer_bytes;
-        let chain = self.reviver_chain_switching;
-        let proactive = self.reviver_proactive;
-        let cache = self.cache_bytes;
+        let k = self.knobs;
         let mut b = RevivedController::builder(self.device(extra_blocks), wl)
-            .check_invariants(check)
-            .pointer_bytes(pointer)
-            .chain_switching(chain)
-            .proactive_acquisition(proactive);
-        if let Some(bytes) = cache {
+            .check_invariants(k.check_invariants)
+            .pointer_bytes(k.reviver_pointer_bytes)
+            .chain_switching(k.reviver_chain_switching)
+            .proactive_acquisition(k.reviver_proactive);
+        if let Some(bytes) = k.cache_bytes {
             b = b.cache_bytes(bytes);
         }
         Box::new(b.build())
@@ -272,8 +298,8 @@ pub struct StackSpec {
     /// Canonical short name, used on every CLI/env surface
     /// (`WLR_CRASH_STACKS`, `WLR_FLEET_SCHEMES`, `--list-stacks`, …).
     pub name: &'static str,
-    /// Report/JSON title (the historical `SchemeKind`-style CamelCase
-    /// names, kept stable so baselines keep matching).
+    /// Report/JSON title (the historical CamelCase names, kept stable so
+    /// baselines keep matching).
     pub title: &'static str,
     /// One-line description for listings.
     pub description: &'static str,
@@ -283,8 +309,10 @@ pub struct StackSpec {
     /// The bare stack used as this stack's lifetime baseline, if any
     /// (for revived stacks: the same scheme frozen on first failure).
     pub bare: Option<&'static str>,
-    /// The `SchemeKind` with this stack's default knobs.
-    pub kind: SchemeKind,
+    /// Whether the stack carves [`StackKnobs::freep_reserve_frac`] of the
+    /// PCM out of the total before sizing the visible space (FREE-p's
+    /// pre-reserve) — the one stack fact the simulation builder needs.
+    pub carves_reserve: bool,
     build: fn(&mut StackCtx) -> Box<dyn Controller>,
 }
 
@@ -324,7 +352,7 @@ fn build_freep(ctx: &mut StackCtx) -> Box<dyn Controller> {
     let wl = ctx.start_gap();
     let reserve = ctx.reserve_blocks;
     let mut b = FreepController::builder(ctx.device(1 + reserve), wl, reserve);
-    if let Some(bytes) = ctx.cache_bytes {
+    if let Some(bytes) = ctx.knobs.cache_bytes {
         b = b.cache_bytes(bytes);
     }
     Box::new(b.build())
@@ -333,12 +361,12 @@ fn build_freep(ctx: &mut StackCtx) -> Box<dyn Controller> {
 fn build_lls(ctx: &mut StackCtx) -> Box<dyn Controller> {
     let chunk = ((ctx.visible / 16) / ctx.bpp).max(1) * ctx.bpp;
     let wl = ctx.start_gap_with(RandomizerKind::HalfRestricted { seed: ctx.seed });
-    let chunks = ctx.lls_chunks;
+    let chunks = ctx.knobs.lls_chunks;
     let mut b = LlsController::builder(ctx.device(1 + chunk * chunks), wl)
         .chunk_blocks(chunk)
         .max_chunks(chunks)
-        .groups(ctx.lls_groups);
-    if let Some(bytes) = ctx.cache_bytes {
+        .groups(ctx.knobs.lls_groups);
+    if let Some(bytes) = ctx.knobs.cache_bytes {
         b = b.cache_bytes(bytes);
     }
     Box::new(b.build())
@@ -347,7 +375,7 @@ fn build_lls(ctx: &mut StackCtx) -> Box<dyn Controller> {
 fn build_zombie(ctx: &mut StackCtx) -> Box<dyn Controller> {
     let wl = ctx.start_gap();
     let mut b = ZombieController::builder(ctx.device(1), wl);
-    if let Some(bytes) = ctx.cache_bytes {
+    if let Some(bytes) = ctx.knobs.cache_bytes {
         b = b.cache_bytes(bytes);
     }
     Box::new(b.build())
@@ -364,12 +392,12 @@ fn build_reviver_security_refresh(ctx: &mut StackCtx) -> Box<dyn Controller> {
 }
 
 fn build_reviver_tiled_start_gap(ctx: &mut StackCtx) -> Box<dyn Controller> {
+    let tiles = ctx.knobs.sg_tiles;
     let wl = TiledStartGap::builder(ctx.visible)
-        .tiles(ctx.sg_tiles)
-        .gap_interval(ctx.gap_interval)
-        .randomizer(ctx.sg_randomizer)
+        .tiles(tiles)
+        .gap_interval(ctx.knobs.gap_interval)
+        .randomizer(ctx.sg_randomizer())
         .build();
-    let tiles = ctx.sg_tiles;
     ctx.revive(tiles, Box::new(wl))
 }
 
@@ -378,8 +406,8 @@ fn build_reviver_two_level_sr(ctx: &mut StackCtx) -> Box<dyn Controller> {
     let wl = Stacked::two_level_security_refresh(
         ctx.visible,
         inner_region,
-        ctx.sr_refresh_interval,
-        ctx.sr_refresh_interval * 4,
+        ctx.knobs.sr_refresh_interval,
+        ctx.knobs.sr_refresh_interval * 4,
         ctx.seed,
     );
     ctx.revive(0, Box::new(wl))
@@ -404,7 +432,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "error correction only; every failure costs a page",
         revivable: false,
         bare: None,
-        kind: SchemeKind::EccOnly,
+        carves_reserve: false,
         build: build_ecc_only,
     },
     StackSpec {
@@ -413,7 +441,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "Start-Gap, frozen on the first unhidden failure",
         revivable: false,
         bare: None,
-        kind: SchemeKind::StartGapOnly,
+        carves_reserve: false,
         build: build_start_gap_only,
     },
     StackSpec {
@@ -422,7 +450,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "Security Refresh, frozen on the first unhidden failure",
         revivable: false,
         bare: None,
-        kind: SchemeKind::SecurityRefreshOnly,
+        carves_reserve: false,
         build: build_security_refresh_only,
     },
     StackSpec {
@@ -431,7 +459,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "SoftWear table-mapped page sorting, frozen on the first failure",
         revivable: false,
         bare: None,
-        kind: SchemeKind::SoftWear,
+        carves_reserve: false,
         build: build_soft_wear_only,
     },
     StackSpec {
@@ -440,7 +468,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "SAWL-style adaptive Start-Gap, frozen on the first failure",
         revivable: false,
         bare: None,
-        kind: SchemeKind::AdaptiveStartGap,
+        carves_reserve: false,
         build: build_adaptive_start_gap_only,
     },
     StackSpec {
@@ -449,7 +477,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "FREE-p with a pre-reserved remap region (default 10%)",
         revivable: false,
         bare: Some("sg"),
-        kind: SchemeKind::Freep { reserve_frac: 0.1 },
+        carves_reserve: true,
         build: build_freep,
     },
     StackSpec {
@@ -458,7 +486,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "the LLS salvage baseline",
         revivable: false,
         bare: Some("sg"),
-        kind: SchemeKind::Lls,
+        carves_reserve: false,
         build: build_lls,
     },
     StackSpec {
@@ -467,7 +495,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "Zombie-adapted baseline: spares from retired pages, WL frozen",
         revivable: false,
         bare: Some("sg"),
-        kind: SchemeKind::Zombie,
+        carves_reserve: false,
         build: build_zombie,
     },
     StackSpec {
@@ -476,7 +504,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over Start-Gap",
         revivable: true,
         bare: Some("sg"),
-        kind: SchemeKind::ReviverStartGap,
+        carves_reserve: false,
         build: build_reviver_start_gap,
     },
     StackSpec {
@@ -485,7 +513,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over Security Refresh",
         revivable: true,
         bare: Some("sr"),
-        kind: SchemeKind::ReviverSecurityRefresh,
+        carves_reserve: false,
         build: build_reviver_security_refresh,
     },
     StackSpec {
@@ -494,7 +522,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over region-tiled Start-Gap",
         revivable: true,
         bare: Some("sg"),
-        kind: SchemeKind::ReviverTiledStartGap,
+        carves_reserve: false,
         build: build_reviver_tiled_start_gap,
     },
     StackSpec {
@@ -503,7 +531,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over two-level Security Refresh",
         revivable: true,
         bare: Some("sr"),
-        kind: SchemeKind::ReviverTwoLevelSecurityRefresh,
+        carves_reserve: false,
         build: build_reviver_two_level_sr,
     },
     StackSpec {
@@ -512,7 +540,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over SoftWear (table-mapped corner of the framework)",
         revivable: true,
         bare: Some("softwear"),
-        kind: SchemeKind::ReviverSoftWear,
+        carves_reserve: false,
         build: build_reviver_soft_wear,
     },
     StackSpec {
@@ -521,7 +549,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over SAWL-style adaptive Start-Gap",
         revivable: true,
         bare: Some("adaptive-sg"),
-        kind: SchemeKind::ReviverAdaptiveStartGap,
+        carves_reserve: false,
         build: build_reviver_adaptive_start_gap,
     },
 ];
@@ -601,29 +629,5 @@ impl SchemeRegistry {
     /// The canonical names, in sweep order.
     pub fn names(&self) -> Vec<&'static str> {
         self.specs.iter().map(|s| s.name).collect()
-    }
-
-    /// The `SchemeKind` registered under `name` (with its default knob
-    /// payload) — for binaries that hard-code registry names.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the valid-name list if `name` is not registered.
-    pub fn kind(&self, name: &str) -> SchemeKind {
-        self.resolve(name).unwrap_or_else(|e| panic!("{e}")).kind
-    }
-
-    /// The spec registered for `kind` (knob payloads are ignored: the
-    /// spec's builder reads them from the [`StackCtx`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` has no registered spec — a bug by construction,
-    /// enforced by the registry-completeness suite.
-    pub fn spec_for(&self, kind: SchemeKind) -> &'static StackSpec {
-        self.specs
-            .iter()
-            .find(|s| core::mem::discriminant(&s.kind) == core::mem::discriminant(&kind))
-            .unwrap_or_else(|| panic!("SchemeKind {kind:?} is not registered"))
     }
 }

@@ -16,6 +16,7 @@
 use crate::controller::{Controller, WriteResult};
 use crate::metrics::{SamplePoint, TimeSeries};
 use crate::recovery::RecoveryReport;
+use crate::registry::{DeviceParts, SchemeRegistry, StackCtx, StackKnobs, StackSpec};
 use crate::reviver::{ReviverCounters, TraceRingSink};
 use wlr_base::dense::DenseMap;
 use wlr_base::rng::Rng;
@@ -35,55 +36,6 @@ pub enum EccKind {
         /// Global pool entries per block.
         ratio: f64,
     },
-}
-
-/// Which controller stack to simulate. The names follow the paper's
-/// figure legends.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SchemeKind {
-    /// Error correction only (`ECP6` / `PAYG` curves): no wear leveling,
-    /// every failure costs the OS a page.
-    EccOnly,
-    /// Error correction + Start-Gap (`ECP6-SG` / `PAYG-SG`): the first
-    /// unhidden failure freezes the scheme.
-    StartGapOnly,
-    /// Error correction + Security Refresh, freezing on the first failure.
-    SecurityRefreshOnly,
-    /// FREE-p adapted with a pre-reserved remap region of this fraction of
-    /// the total PCM (Figure 7).
-    Freep {
-        /// Reserved fraction of total PCM space (0.05 = the paper's 5%).
-        reserve_frac: f64,
-    },
-    /// The LLS baseline (Figure 8, Table II).
-    Lls,
-    /// The Zombie-adapted baseline (§I-C): failures hidden behind spare
-    /// blocks from incrementally-retired pages, wear leveling frozen from
-    /// the first failure.
-    Zombie,
-    /// WL-Reviver over Start-Gap (`ECP6-SG-WLR` / `PAYG-SG-WLR`).
-    ReviverStartGap,
-    /// WL-Reviver over Security Refresh (framework-generality ablation).
-    ReviverSecurityRefresh,
-    /// WL-Reviver over region-tiled Start-Gap (the Start-Gap paper's
-    /// practical deployment: one gap line per tile behind a global
-    /// randomizer; tile count set by `sg_tiles`).
-    ReviverTiledStartGap,
-    /// WL-Reviver over the full two-level Security Refresh (inner
-    /// sub-region level stacked under a chip-wide outer level).
-    ReviverTwoLevelSecurityRefresh,
-    /// Error correction + SoftWear page-sorting wear leveling (software
-    /// table-mapped, no algebraic mapping), freezing on the first failure.
-    SoftWear,
-    /// Error correction + SAWL-style adaptive Start-Gap (the migration
-    /// interval widens/narrows online from the observed write-skew CoV),
-    /// freezing on the first failure.
-    AdaptiveStartGap,
-    /// WL-Reviver over SoftWear — the table-mapped corner of the
-    /// framework's "any scheme" claim.
-    ReviverSoftWear,
-    /// WL-Reviver over SAWL-style adaptive Start-Gap.
-    ReviverAdaptiveStartGap,
 }
 
 /// When to stop a run. The run also always stops if the application's
@@ -127,7 +79,9 @@ pub struct Outcome {
     pub usable: f64,
 }
 
-/// Builder for [`Simulation`]; see [`Simulation::builder`].
+/// Builder for [`Simulation`]; see [`Simulation::builder`]. The stack
+/// knob setters (`gap_interval` … `reviver_proactive`) write into an
+/// embedded [`StackKnobs`], whose `Default` holds every knob's default.
 #[derive(Debug)]
 pub struct SimulationBuilder {
     num_blocks: u64,
@@ -136,36 +90,22 @@ pub struct SimulationBuilder {
     endurance_mean: f64,
     endurance_cov: f64,
     ecc: EccKind,
-    scheme: SchemeKind,
-    gap_interval: u64,
-    sr_refresh_interval: u64,
-    sr_region_blocks: Option<u64>,
-    sw_swap_interval: Option<u64>,
-    sw_scan_window: u64,
-    adaptive_epoch: Option<u64>,
-    adaptive_cov_band: (f64, f64),
-    lls_groups: u64,
-    lls_chunks: u64,
-    cache_bytes: Option<usize>,
+    stack: &'static StackSpec,
+    knobs: StackKnobs,
     os_reserve_pages: u64,
     sample_interval: u64,
     seed: u64,
     workload: Option<Box<dyn Workload>>,
     verify_integrity: bool,
-    check_invariants: bool,
     hard_cap: u64,
-    sg_randomizer: Option<RandomizerKind>,
-    sg_tiles: u64,
-    reviver_pointer_bytes: u64,
-    reviver_chain_switching: bool,
-    reviver_proactive: bool,
     fault_plan: Option<FaultPlan>,
     trace_ring: Option<usize>,
 }
 
 impl SimulationBuilder {
     /// Total PCM capacity in blocks (default 2¹⁶ = 4 MB of 64 B blocks).
-    /// For [`SchemeKind::Freep`], the pre-reserve is carved out of this.
+    /// A stack with [`StackSpec::carves_reserve`] (FREE-p) carves its
+    /// pre-reserve out of this.
     pub fn num_blocks(mut self, blocks: u64) -> Self {
         self.num_blocks = blocks;
         self
@@ -190,90 +130,82 @@ impl SimulationBuilder {
         self
     }
 
-    /// Controller stack (default [`SchemeKind::ReviverStartGap`]).
-    pub fn scheme(mut self, scheme: SchemeKind) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
     /// Controller stack by registry name (e.g. `"reviver-sg"`,
-    /// `"softwear-wlr"`) or report title (e.g. `"ReviverStartGap"`); the
-    /// stack's default knobs from [`crate::registry::SchemeRegistry`]
-    /// apply. Callers needing graceful errors resolve through
-    /// [`crate::registry::SchemeRegistry::resolve`] themselves.
+    /// `"softwear-wlr"`) or report title (e.g. `"ReviverStartGap"`;
+    /// default `"reviver-sg"`). Callers needing graceful errors resolve
+    /// through [`SchemeRegistry::resolve`] themselves.
     ///
     /// # Panics
     ///
     /// Panics on an unknown name, listing the valid stacks.
     pub fn stack(mut self, name: &str) -> Self {
-        let spec = crate::registry::SchemeRegistry::global()
+        self.stack = SchemeRegistry::global()
             .resolve(name)
             .unwrap_or_else(|e| panic!("{e}"));
-        self.scheme = spec.kind;
         self
     }
 
-    /// Start-Gap ψ: writes per gap movement (default 100, as in the paper).
+    /// Start-Gap ψ: writes per gap movement.
     pub fn gap_interval(mut self, psi: u64) -> Self {
-        self.gap_interval = psi;
+        self.knobs.gap_interval = psi;
         self
     }
 
-    /// Security Refresh: writes per refresh swap (default 100).
+    /// Security Refresh: writes per refresh swap.
     pub fn sr_refresh_interval(mut self, interval: u64) -> Self {
-        self.sr_refresh_interval = interval;
+        self.knobs.sr_refresh_interval = interval;
         self
     }
 
-    /// Security Refresh region size in blocks (default: largest power of
-    /// two dividing the visible space).
+    /// Security Refresh region size in blocks (unset: the largest power
+    /// of two dividing the visible space).
     pub fn sr_region_blocks(mut self, blocks: u64) -> Self {
-        self.sr_region_blocks = Some(blocks);
+        self.knobs.sr_region_blocks = Some(blocks);
         self
     }
 
-    /// SoftWear: writes per hot↔cold swap (default: the Security Refresh
+    /// SoftWear: writes per hot↔cold swap (unset: the Security Refresh
     /// interval — both are in-place swap cadences).
     pub fn sw_swap_interval(mut self, interval: u64) -> Self {
-        self.sw_swap_interval = Some(interval);
+        self.knobs.sw_swap_interval = Some(interval);
         self
     }
 
-    /// SoftWear: frames examined per cold scan (default 16).
+    /// SoftWear: frames examined per cold scan.
     pub fn sw_scan_window(mut self, window: u64) -> Self {
-        self.sw_scan_window = window;
+        self.knobs.sw_scan_window = window;
         self
     }
 
-    /// Adaptive wrapper: writes per CoV evaluation (default: 4× the
-    /// visible space).
+    /// Adaptive wrapper: writes per CoV evaluation (unset: 4× the visible
+    /// space).
     pub fn adaptive_epoch_writes(mut self, writes: u64) -> Self {
-        self.adaptive_epoch = Some(writes);
+        self.knobs.adaptive_epoch = Some(writes);
         self
     }
 
     /// Adaptive wrapper: CoV band — below `lo` the migration interval
-    /// widens, above `hi` it narrows (default `0.75 .. 1.5`).
+    /// widens, above `hi` it narrows.
     pub fn adaptive_cov_band(mut self, lo: f64, hi: f64) -> Self {
-        self.adaptive_cov_band = (lo, hi);
+        self.knobs.adaptive_cov_band = (lo, hi);
         self
     }
 
-    /// LLS salvage-group count (default 64).
+    /// LLS salvage-group count.
     pub fn lls_groups(mut self, groups: u64) -> Self {
-        self.lls_groups = groups;
+        self.knobs.lls_groups = groups;
         self
     }
 
-    /// LLS maximum chunks; chunk size is `visible/16` (default 16 chunks).
+    /// LLS maximum chunks; chunk size is `visible/16`.
     pub fn lls_chunks(mut self, chunks: u64) -> Self {
-        self.lls_chunks = chunks;
+        self.knobs.lls_chunks = chunks;
         self
     }
 
-    /// Remap cache size in bytes (Table II uses 32 KB; default none).
+    /// Remap cache size in bytes (Table II uses 32 KB; unset: no cache).
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
-        self.cache_bytes = Some(bytes);
+        self.knobs.cache_bytes = Some(bytes);
         self
     }
 
@@ -320,7 +252,7 @@ impl SimulationBuilder {
 
     /// Enables WL-Reviver's Theorem 1–3 assertions per request (tests).
     pub fn check_invariants(mut self, on: bool) -> Self {
-        self.check_invariants = on;
+        self.knobs.check_invariants = on;
         self
     }
 
@@ -330,36 +262,36 @@ impl SimulationBuilder {
         self
     }
 
-    /// Overrides Start-Gap's static randomizer (default: Feistel seeded
-    /// by the experiment seed). Ablation knob.
+    /// Overrides Start-Gap's static randomizer (unset: Feistel seeded by
+    /// the experiment seed). Ablation knob.
     pub fn sg_randomizer(mut self, kind: RandomizerKind) -> Self {
-        self.sg_randomizer = Some(kind);
+        self.knobs.sg_randomizer = Some(kind);
         self
     }
 
-    /// Tile count for [`SchemeKind::ReviverTiledStartGap`] (default 16).
+    /// Tile count for the tiled Start-Gap stack.
     pub fn sg_tiles(mut self, tiles: u64) -> Self {
-        self.sg_tiles = tiles;
+        self.knobs.sg_tiles = tiles;
         self
     }
 
     /// WL-Reviver pointer width in bytes (sizes the inverse-pointer
-    /// section; default 4). Ablation knob.
+    /// section). Ablation knob.
     pub fn reviver_pointer_bytes(mut self, bytes: u64) -> Self {
-        self.reviver_pointer_bytes = bytes;
+        self.knobs.reviver_pointer_bytes = bytes;
         self
     }
 
     /// Disables WL-Reviver's one-step-chain switching (ablation).
     pub fn reviver_chain_switching(mut self, on: bool) -> Self {
-        self.reviver_chain_switching = on;
+        self.knobs.reviver_chain_switching = on;
         self
     }
 
     /// Enables WL-Reviver's proactive page acquisition (the §III-A
     /// alternative; ablation).
     pub fn reviver_proactive(mut self, on: bool) -> Self {
-        self.reviver_proactive = on;
+        self.knobs.reviver_proactive = on;
         self
     }
 
@@ -390,18 +322,17 @@ impl SimulationBuilder {
     pub fn build(self) -> Simulation {
         // Visible space: total minus any FREE-p pre-reserve, page-aligned.
         let bpp = self.page_bytes / self.block_bytes;
-        let (visible, reserve_blocks) = match self.scheme {
-            SchemeKind::Freep { reserve_frac } => {
-                assert!(
-                    (0.0..1.0).contains(&reserve_frac),
-                    "reserve fraction must be in [0,1)"
-                );
-                let reserve_pages =
-                    ((self.num_blocks as f64 * reserve_frac) / bpp as f64).round() as u64;
-                let visible = self.num_blocks - reserve_pages * bpp;
-                (visible, reserve_pages * bpp)
-            }
-            _ => (self.num_blocks - self.num_blocks % bpp, 0),
+        let (visible, reserve_blocks) = if self.stack.carves_reserve {
+            let frac = self.knobs.freep_reserve_frac;
+            assert!(
+                (0.0..1.0).contains(&frac),
+                "reserve fraction must be in [0,1)"
+            );
+            let reserve_pages = ((self.num_blocks as f64 * frac) / bpp as f64).round() as u64;
+            let visible = self.num_blocks - reserve_pages * bpp;
+            (visible, reserve_pages * bpp)
+        } else {
+            (self.num_blocks - self.num_blocks % bpp, 0)
         };
         assert!(visible >= bpp, "no visible space left after reservation");
         let geo = Geometry::builder()
@@ -417,18 +348,16 @@ impl SimulationBuilder {
         };
 
         let fault_active = self.fault_plan.as_ref().is_some_and(|p| !p.is_empty());
-        let feistel = self
-            .sg_randomizer
-            .unwrap_or(RandomizerKind::Feistel { seed: self.seed });
 
         // All stack construction lives in the scheme registry; the builder
         // only prepares the context (knobs + one-shot device ingredients).
-        let mut ctx = crate::registry::StackCtx::new(
-            self.scheme,
+        let mut ctx = StackCtx::new(
             visible,
             reserve_blocks,
             bpp,
-            crate::registry::DeviceParts {
+            self.seed,
+            self.knobs,
+            DeviceParts {
                 geo,
                 endurance_mean: self.endurance_mean,
                 endurance_cov: self.endurance_cov,
@@ -437,29 +366,7 @@ impl SimulationBuilder {
                 fault_plan: self.fault_plan,
             },
         );
-        ctx.gap_interval = self.gap_interval;
-        ctx.sr_refresh_interval = self.sr_refresh_interval;
-        ctx.sr_region_blocks = self.sr_region_blocks;
-        ctx.sw_swap_interval = self.sw_swap_interval.unwrap_or(self.sr_refresh_interval);
-        ctx.sw_scan_window = self.sw_scan_window;
-        ctx.adaptive_epoch = self.adaptive_epoch;
-        ctx.adaptive_cov_band = self.adaptive_cov_band;
-        ctx.lls_groups = self.lls_groups;
-        ctx.lls_chunks = self.lls_chunks;
-        ctx.cache_bytes = self.cache_bytes;
-        ctx.seed = self.seed;
-        ctx.sg_randomizer = feistel;
-        ctx.sg_tiles = self.sg_tiles;
-        ctx.check_invariants = self.check_invariants;
-        ctx.reviver_pointer_bytes = self.reviver_pointer_bytes;
-        ctx.reviver_chain_switching = self.reviver_chain_switching;
-        ctx.reviver_proactive = self.reviver_proactive;
-
-        let controller: Box<dyn Controller> = crate::registry::SchemeRegistry::global()
-            .spec_for(self.scheme)
-            .build_stack(&mut ctx);
-
-        let mut controller = controller;
+        let mut controller = self.stack.build_stack(&mut ctx);
         if let Some(r) = controller.as_reviver_mut() {
             if let Some(cap) = self.trace_ring {
                 r.add_sink(Box::new(TraceRingSink::new(cap)));
@@ -702,6 +609,13 @@ impl Simulation {
     /// Starts building a simulation with the scaled default configuration
     /// (see DESIGN.md §6).
     pub fn builder() -> SimulationBuilder {
+        Self::builder_with(StackKnobs::default())
+    }
+
+    /// As [`Self::builder`], starting from a whole knob set — the way to
+    /// set knobs without a builder setter (e.g. FREE-p's
+    /// [`StackKnobs::freep_reserve_frac`]).
+    pub fn builder_with(knobs: StackKnobs) -> SimulationBuilder {
         SimulationBuilder {
             num_blocks: 1 << 16,
             block_bytes: 64,
@@ -709,29 +623,16 @@ impl Simulation {
             endurance_mean: 1e4,
             endurance_cov: 0.2,
             ecc: EccKind::Ecp(6),
-            scheme: SchemeKind::ReviverStartGap,
-            gap_interval: 100,
-            sr_refresh_interval: 100,
-            sr_region_blocks: None,
-            sw_swap_interval: None,
-            sw_scan_window: 16,
-            adaptive_epoch: None,
-            adaptive_cov_band: (0.75, 1.5),
-            lls_groups: 64,
-            lls_chunks: 16,
-            cache_bytes: None,
+            stack: SchemeRegistry::global()
+                .get("reviver-sg")
+                .expect("reviver-sg is registered"),
+            knobs,
             os_reserve_pages: 0,
             sample_interval: 0,
             seed: 0,
             workload: None,
             verify_integrity: false,
-            check_invariants: false,
             hard_cap: 1_000_000_000_000,
-            sg_randomizer: None,
-            sg_tiles: 16,
-            reviver_pointer_bytes: 4,
-            reviver_chain_switching: true,
-            reviver_proactive: false,
             fault_plan: None,
             trace_ring: None,
         }
@@ -1579,11 +1480,11 @@ mod tests {
     use super::*;
     use wlr_trace::Benchmark;
 
-    fn quick(scheme: SchemeKind, endurance: f64, seed: u64) -> Simulation {
+    fn quick(scheme: &str, endurance: f64, seed: u64) -> Simulation {
         Simulation::builder()
             .num_blocks(1 << 12)
             .endurance_mean(endurance)
-            .scheme(scheme)
+            .stack(scheme)
             .seed(seed)
             .sample_interval(5_000)
             .build()
@@ -1591,7 +1492,7 @@ mod tests {
 
     #[test]
     fn healthy_run_reaches_write_budget() {
-        let mut sim = quick(SchemeKind::ReviverStartGap, 1e9, 1);
+        let mut sim = quick("reviver-sg", 1e9, 1);
         let out = sim.run(StopCondition::Writes(20_000));
         assert_eq!(out.reason, StopReason::ConditionMet);
         assert_eq!(out.writes_issued, 20_000);
@@ -1602,7 +1503,7 @@ mod tests {
 
     #[test]
     fn ecc_only_loses_space_fast() {
-        let mut sim = quick(SchemeKind::EccOnly, 2_000.0, 2);
+        let mut sim = quick("ecc", 2_000.0, 2);
         let out = sim.run(StopCondition::UsableBelow(0.9));
         assert_eq!(out.reason, StopReason::ConditionMet);
         assert!(out.usable <= 0.9);
@@ -1612,9 +1513,9 @@ mod tests {
     #[test]
     fn reviver_outlives_frozen_start_gap() {
         let stop = StopCondition::DeadFraction(0.10);
-        let mut base = quick(SchemeKind::StartGapOnly, 2_000.0, 3);
+        let mut base = quick("sg", 2_000.0, 3);
         let base_out = base.run(stop);
-        let mut wlr = quick(SchemeKind::ReviverStartGap, 2_000.0, 3);
+        let mut wlr = quick("reviver-sg", 2_000.0, 3);
         let wlr_out = wlr.run(stop);
         assert!(
             wlr_out.writes_issued > base_out.writes_issued,
@@ -1633,7 +1534,7 @@ mod tests {
                 // Scaled ψ: preserves the paper's rotations-per-lifetime
                 // ratio at scaled endurance (see EXPERIMENTS.md).
                 .gap_interval(8)
-                .scheme(scheme)
+                .stack(scheme)
                 .seed(4)
                 .workload(Benchmark::Ocean.build(1 << 12, 4))
                 .sample_interval(5_000)
@@ -1643,9 +1544,9 @@ mod tests {
         // every block failure retires a whole 64-block page, so the
         // usable-space curve collapses far sooner than under WL-Reviver,
         // which pays one page per ~60 hidden failures and keeps leveling.
-        let mut none = mk(SchemeKind::EccOnly);
+        let mut none = mk("ecc");
         let none_out = none.run(StopCondition::UsableBelow(0.9));
-        let mut wlr = mk(SchemeKind::ReviverStartGap);
+        let mut wlr = mk("reviver-sg");
         let wlr_out = wlr.run(StopCondition::UsableBelow(0.9));
         assert!(
             wlr_out.writes_issued > 2 * none_out.writes_issued,
@@ -1660,7 +1561,7 @@ mod tests {
         let mut sim = Simulation::builder()
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .gap_interval(20)
             .seed(5)
             .verify_integrity(true)
@@ -1678,7 +1579,7 @@ mod tests {
         let mut sim = Simulation::builder()
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
-            .scheme(SchemeKind::ReviverSecurityRefresh)
+            .stack("reviver-sr")
             .sr_refresh_interval(20)
             .seed(6)
             .verify_integrity(true)
@@ -1692,13 +1593,16 @@ mod tests {
     #[test]
     fn freep_reserve_postpones_freeze() {
         let mk = |frac| {
-            Simulation::builder()
-                .num_blocks(1 << 10)
-                .endurance_mean(2_000.0)
-                .scheme(SchemeKind::Freep { reserve_frac: frac })
-                .seed(7)
-                .sample_interval(2_000)
-                .build()
+            Simulation::builder_with(StackKnobs {
+                freep_reserve_frac: frac,
+                ..StackKnobs::default()
+            })
+            .num_blocks(1 << 10)
+            .endurance_mean(2_000.0)
+            .stack("freep")
+            .seed(7)
+            .sample_interval(2_000)
+            .build()
         };
         let mut none = mk(0.0);
         none.run(StopCondition::Writes(3_000_000));
@@ -1725,7 +1629,7 @@ mod tests {
         let mut sim = Simulation::builder()
             .num_blocks(1 << 12)
             .endurance_mean(2_000.0)
-            .scheme(SchemeKind::Lls)
+            .stack("lls")
             .seed(8)
             .sample_interval(5_000)
             .build();
@@ -1740,7 +1644,7 @@ mod tests {
     fn usable_accounts_for_freep_reserve() {
         let sim = Simulation::builder()
             .num_blocks(1 << 12)
-            .scheme(SchemeKind::Freep { reserve_frac: 0.10 })
+            .stack("freep")
             .seed(9)
             .build();
         // 10% pre-reserved: usable starts near 90%.
@@ -1750,7 +1654,7 @@ mod tests {
 
     #[test]
     fn series_samples_are_recorded() {
-        let mut sim = quick(SchemeKind::ReviverStartGap, 1e9, 10);
+        let mut sim = quick("reviver-sg", 1e9, 10);
         sim.run(StopCondition::Writes(25_000));
         assert!(sim.series().len() >= 5);
         let last = sim.series().points().last().unwrap();
@@ -1763,7 +1667,7 @@ mod tests {
         let mut sim = Simulation::builder()
             .num_blocks(1 << 10)
             .endurance_mean(1e9)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .seed(11)
             .hard_cap(5_000)
             .build();
@@ -1778,7 +1682,7 @@ mod tests {
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
             .gap_interval(10)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .reviver_chain_switching(false)
             .seed(15)
             .verify_integrity(true)
@@ -1801,7 +1705,7 @@ mod tests {
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
             .gap_interval(10)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .seed(15)
             .check_invariants(true)
             .sample_interval(2_000)
@@ -1817,7 +1721,7 @@ mod tests {
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
             .gap_interval(5)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .reviver_proactive(true)
             .seed(16)
             .verify_integrity(true)
@@ -1841,7 +1745,7 @@ mod tests {
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
             .gap_interval(10)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .seed(20)
             .verify_integrity(true)
             .check_invariants(true)
@@ -1875,7 +1779,7 @@ mod tests {
             .endurance_mean(1_500.0)
             .gap_interval(10)
             .sg_tiles(4)
-            .scheme(SchemeKind::ReviverTiledStartGap)
+            .stack("reviver-tiled")
             .seed(18)
             .verify_integrity(true)
             .check_invariants(true)
@@ -1892,7 +1796,7 @@ mod tests {
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
             .sr_refresh_interval(10)
-            .scheme(SchemeKind::ReviverTwoLevelSecurityRefresh)
+            .stack("reviver-sr2")
             .seed(19)
             .verify_integrity(true)
             .check_invariants(true)
@@ -1908,7 +1812,7 @@ mod tests {
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
             .gap_interval(10)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .sg_randomizer(wlr_wl::RandomizerKind::Table { seed: 3 })
             .seed(17)
             .verify_integrity(true)
@@ -1971,7 +1875,7 @@ mod tests {
                 .num_blocks(1 << 10)
                 .endurance_mean(1_500.0)
                 .gap_interval(10)
-                .scheme(SchemeKind::ReviverStartGap)
+                .stack("reviver-sg")
                 .seed(33)
                 .sample_interval(2_000)
                 .build()
@@ -2003,7 +1907,7 @@ mod tests {
         let mut sim = Simulation::builder()
             .num_blocks(1 << 10)
             .endurance_mean(1e9)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .seed(34)
             .hard_cap(1_000)
             .build();
@@ -2021,7 +1925,7 @@ mod tests {
             Simulation::builder()
                 .num_blocks(1 << 10)
                 .endurance_mean(1_500.0)
-                .scheme(SchemeKind::ReviverStartGap)
+                .stack("reviver-sg")
                 .seed(seed)
                 .build()
         };
@@ -2051,7 +1955,7 @@ mod tests {
             let mut sim = Simulation::builder()
                 .num_blocks(1 << 10)
                 .endurance_mean(1_500.0)
-                .scheme(SchemeKind::ReviverStartGap)
+                .stack("reviver-sg")
                 .gap_interval(10)
                 .seed(21)
                 .sample_interval(3_000)

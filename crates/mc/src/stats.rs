@@ -103,7 +103,7 @@ pub struct McOutcome {
     pub read_retries: u64,
     /// Reads whose bounded retry was exhausted, across all banks.
     pub retry_exhausted: u64,
-    /// Whole-fleet drains performed.
+    /// Batch flushes performed (queue → bank handoffs).
     pub drains: u64,
     /// Final front-end clock value.
     pub ticks: u64,

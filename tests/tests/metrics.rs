@@ -9,8 +9,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wl_reviver::sim::{SchemeKind, Simulation, StopCondition};
-use wl_reviver::{MetricsSink, RevivalMetrics};
+use wl_reviver::sim::{Simulation, StopCondition};
+use wl_reviver::{MetricsSink, RevivalMetrics, SchemeRegistry};
 use wlr_base::stats::registry::{
     parse_exposition, HistogramSnapshot, LogHistogram, MetricsRegistry,
 };
@@ -21,52 +21,36 @@ const PSI: u64 = 7;
 const SEED: u64 = 7;
 const STOP_WRITES: u64 = 280_000;
 
-/// Every golden stack from `equivalence.rs`: five baselines (no
-/// reviver, so nothing to fold) and the four revived schemes.
-const STACKS: &[(&str, SchemeKind)] = &[
-    ("ecc", SchemeKind::EccOnly),
-    ("sg", SchemeKind::StartGapOnly),
-    ("sr", SchemeKind::SecurityRefreshOnly),
-    ("freep", SchemeKind::Freep { reserve_frac: 0.1 }),
-    ("lls", SchemeKind::Lls),
-    ("reviver-sg", SchemeKind::ReviverStartGap),
-    ("reviver-sr", SchemeKind::ReviverSecurityRefresh),
-    ("reviver-tiled", SchemeKind::ReviverTiledStartGap),
-    ("reviver-sr2", SchemeKind::ReviverTwoLevelSecurityRefresh),
-];
-
-fn golden_sim(scheme: SchemeKind) -> Simulation {
+fn golden_sim(scheme: &str) -> Simulation {
     Simulation::builder()
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
         .gap_interval(PSI)
         .sr_refresh_interval(PSI)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(SEED)
         .build()
 }
 
 /// The live registry fold agrees with the controller's built-in
-/// counters on every golden stack — including across a mid-run reboot,
-/// so the recovery replay is folded too. Baseline stacks have no
+/// counters on every registered stack (each has a golden in
+/// `equivalence.rs`) — including across a mid-run reboot, so the
+/// recovery replay is folded too. Bare and baseline stacks have no
 /// reviver, which is itself part of the contract: the sink attaches
 /// only where revival state exists.
 #[test]
 fn metrics_sink_matches_builtin_counters_on_every_golden_stack() {
-    for &(label, scheme) in STACKS {
-        let mut s = golden_sim(scheme);
+    for spec in SchemeRegistry::global().iter() {
+        let label = spec.name;
+        let mut s = golden_sim(label);
         let registry = MetricsRegistry::new();
-        let Some(r) = s.controller_mut().as_reviver_mut() else {
-            assert!(
-                label.starts_with("ecc")
-                    || label.starts_with("sg")
-                    || label.starts_with("sr")
-                    || label.starts_with("freep")
-                    || label.starts_with("lls"),
-                "{label}: unexpected non-reviver stack"
-            );
-            continue;
-        };
+        let reviver = s.controller_mut().as_reviver_mut();
+        assert_eq!(
+            reviver.is_some(),
+            spec.revivable,
+            "{label}: a stack runs a reviver exactly when it is revivable"
+        );
+        let Some(r) = reviver else { continue };
         r.add_sink(Box::new(MetricsSink::new(RevivalMetrics::register(
             &registry,
         ))));
